@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use flowmig_cluster::ScaleDirection;
 use flowmig_core::{Ccr, Dsm, MigrationController};
-use flowmig_engine::{Acker, StateBlob, StateStore};
+use flowmig_engine::{Acker, ShardedStateStore, StateBlob};
 use flowmig_metrics::RootId;
 use flowmig_sim::{EventQueue, SimDuration, SimTime};
 use flowmig_topology::{library, InstanceId};
@@ -76,7 +76,7 @@ fn bench_state_store(c: &mut Criterion) {
             key_counts: Vec::new(),
         };
         b.iter_batched(
-            StateStore::new,
+            ShardedStateStore::new,
             |mut store| {
                 store.put(InstanceId::from_index(0), blob.clone());
                 black_box(store.get(InstanceId::from_index(0)).map(|b| b.pending.len()))

@@ -13,9 +13,7 @@
 //! verifies durability end to end.
 
 use flowmig_bench::{banner, paper};
-use flowmig_engine::{
-    ShardedStateStore, StateBlob, StateStore, StoreLatencyModel, StoreServiceModel,
-};
+use flowmig_engine::{ShardedStateStore, StateBlob, StoreLatencyModel, StoreServiceModel};
 use flowmig_metrics::RootId;
 use flowmig_sim::SimTime;
 use flowmig_topology::InstanceId;
@@ -90,7 +88,7 @@ fn main() {
     println!("{sweep}");
 
     // Durability semantics: a 2 000-event blob round-trips intact.
-    let mut store = StateStore::new();
+    let mut store = ShardedStateStore::new();
     let instance = InstanceId::from_index(0);
     let blob = StateBlob {
         processed: 123,

@@ -34,8 +34,6 @@
 //! hash to shards by index, and every shard keeps its own put/get/byte
 //! counters. Checkpoint COMMIT waves can therefore be priced per shard —
 //! the precondition for parallelizing persist waves across store replicas.
-//! [`StateStore`] remains the single-logical-store facade over one sharded
-//! backend.
 
 use crate::config::{StoreReplication, StoreServiceModel};
 use crate::event::DataEvent;
@@ -205,9 +203,9 @@ pub enum AdmitOutcome {
 /// A key-value checkpoint store partitioned over `N` shards by instance
 /// index.
 ///
-/// Same durability semantics as [`StateStore`] (which delegates here), plus
-/// per-shard put/get/byte counters so a checkpoint COMMIT wave's load can
-/// be priced shard by shard.
+/// A blob is overwritten by every put, and a get returns a clone, so
+/// restores may repeat (e.g. duplicate INITs). Per-shard put/get/byte
+/// counters let a checkpoint COMMIT wave's load be priced shard by shard.
 ///
 /// # Examples
 ///
@@ -645,95 +643,6 @@ impl ShardedStateStore {
     }
 }
 
-/// The key-value checkpoint store: the single-logical-store facade over a
-/// [`ShardedStateStore`].
-///
-/// # Examples
-///
-/// ```
-/// use flowmig_engine::{StateBlob, StateStore};
-/// use flowmig_topology::InstanceId;
-///
-/// let mut store = StateStore::new();
-/// let i = InstanceId::from_index(0);
-/// store.put(i, StateBlob::of_count(42));
-/// assert_eq!(store.get(i).unwrap().processed, 42);
-/// assert_eq!(store.puts(), 1);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct StateStore {
-    inner: ShardedStateStore,
-}
-
-impl StateStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Persists (overwrites) the blob for `instance`.
-    pub fn put(&mut self, instance: InstanceId, blob: StateBlob) {
-        self.inner.put(instance, blob);
-    }
-
-    /// Fetches the last committed blob for `instance`, if any.
-    ///
-    /// Returns a clone: the store keeps its copy (restores may repeat, e.g.
-    /// duplicate INITs).
-    pub fn get(&mut self, instance: InstanceId) -> Option<StateBlob> {
-        self.inner.get(instance)
-    }
-
-    /// Whether a blob exists for `instance` (no latency charged — used by
-    /// tests and invariant checks, not the data path).
-    pub fn contains(&self, instance: InstanceId) -> bool {
-        self.inner.contains(instance)
-    }
-
-    /// Size of the stored pending list for `instance` without counting as a
-    /// fetch — the engine uses this to price the restore round-trip before
-    /// performing it.
-    pub fn peek_pending_len(&self, instance: InstanceId) -> Option<usize> {
-        self.inner.peek_pending_len(instance)
-    }
-
-    /// Persists (overwrites) the blob for one key range of `instance`.
-    pub fn put_range(&mut self, instance: InstanceId, range: KeyRange, blob: StateBlob) {
-        self.inner.put_range(instance, range, blob);
-    }
-
-    /// Fetches the last committed blob for `(instance, range)`, if any.
-    pub fn get_range(&mut self, instance: InstanceId, range: KeyRange) -> Option<StateBlob> {
-        self.inner.get_range(instance, range)
-    }
-
-    /// Total pending events stored across the given ranges of `instance`,
-    /// without counting as fetches. Absent ranges contribute 0.
-    pub fn peek_ranges_pending_len(&self, instance: InstanceId, ranges: &[KeyRange]) -> usize {
-        self.inner.peek_ranges_pending_len(instance, ranges)
-    }
-
-    /// Number of committed blobs.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Returns true if nothing has been committed.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Total persist operations performed.
-    pub fn puts(&self) -> u64 {
-        self.inner.puts()
-    }
-
-    /// Total fetch operations performed.
-    pub fn gets(&self) -> u64 {
-        self.inner.gets()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,7 +651,7 @@ mod tests {
 
     #[test]
     fn put_get_round_trip_with_pending() {
-        let mut store = StateStore::new();
+        let mut store = ShardedStateStore::new();
         let i = InstanceId::from_index(3);
         let blob = StateBlob {
             processed: 7,
@@ -762,7 +671,7 @@ mod tests {
 
     #[test]
     fn missing_instance_returns_none() {
-        let mut store = StateStore::new();
+        let mut store = ShardedStateStore::new();
         assert_eq!(store.get(InstanceId::from_index(5)), None);
         assert_eq!(store.gets(), 1);
         assert!(store.is_empty());
@@ -770,7 +679,7 @@ mod tests {
 
     #[test]
     fn overwrite_keeps_latest() {
-        let mut store = StateStore::new();
+        let mut store = ShardedStateStore::new();
         let i = InstanceId::from_index(0);
         store.put(i, StateBlob::of_count(1));
         store.put(i, StateBlob::of_count(2));
@@ -781,7 +690,7 @@ mod tests {
 
     #[test]
     fn repeated_get_is_idempotent() {
-        let mut store = StateStore::new();
+        let mut store = ShardedStateStore::new();
         let i = InstanceId::from_index(0);
         store.put(i, StateBlob::of_count(5));
         assert_eq!(store.get(i).unwrap().processed, 5);

@@ -57,24 +57,29 @@ impl<'a, E> Scheduler<'a, E> {
         self.now
     }
 
+    /// Relative schedules go through [`EventQueue::schedule_after`], so
+    /// same-delay follow-ups ride the heap backend's FIFO lanes.
+    fn push_after(&mut self, delay: SimDuration, event: E) {
+        match &mut self.sink {
+            Sink::Queue(queue) => queue.schedule_after(self.now, delay, event),
+            Sink::Buffer(buf) => buf.push((self.now + delay, event)),
+        }
+    }
+
     /// Schedules `event` to fire `delay` from now.
     pub fn after(&mut self, delay: SimDuration, event: E) {
-        self.push(self.now + delay, event);
+        self.push_after(delay, event);
     }
 
     /// Schedules every event in `events` to fire `delay` from now, in
-    /// iteration order (one [`EventQueue::schedule_batch`] insertion —
-    /// used for same-delay fan-outs like broadcast control waves).
-    ///
-    /// [`EventQueue::schedule_batch`]: crate::EventQueue::schedule_batch
+    /// iteration order — used for same-delay fan-outs like broadcast
+    /// control waves.
     pub fn after_batch<I>(&mut self, delay: SimDuration, events: I)
     where
         I: IntoIterator<Item = E>,
     {
-        let due = self.now + delay;
-        match &mut self.sink {
-            Sink::Queue(queue) => queue.schedule_batch(due, events),
-            Sink::Buffer(buf) => buf.extend(events.into_iter().map(|e| (due, e))),
+        for event in events {
+            self.push_after(delay, event);
         }
     }
 
@@ -103,7 +108,7 @@ impl<'a, E> Scheduler<'a, E> {
     /// Schedules `event` to fire immediately (at the current instant, after
     /// already-queued events for this instant).
     pub fn now_event(&mut self, event: E) {
-        self.push(self.now, event);
+        self.push_after(SimDuration::ZERO, event);
     }
 }
 
@@ -379,17 +384,32 @@ impl<E> Simulation<E> {
         self.queue.rotations() + self.worker_rotations
     }
 
-    /// Number of past-instant [`Scheduler::at`] calls that were clamped to
-    /// `now` (release builds only — debug builds panic instead). Nonzero
-    /// means a model scheduled into the past: a bug, but one the clamp
-    /// keeps from corrupting pop order.
+    /// Number of past-instant [`Scheduler::at`] and
+    /// [`schedule`](Self::schedule) calls that were clamped to `now`
+    /// (release builds only — debug builds panic instead). Nonzero means a
+    /// model, or the code feeding it external events, scheduled into the
+    /// past: a bug, but one the clamp keeps from corrupting pop order or
+    /// rewinding the clock.
     pub fn clamped_past_schedules(&self) -> u64 {
         self.clamped_past
     }
 
-    /// Schedules an initial or external event.
+    /// Schedules an initial or external event at an absolute instant.
+    ///
+    /// Like [`Scheduler::at`], a past instant is clamped to `now`: the
+    /// event fires at the current instant instead of rewinding the clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `at` is before [`now`](Self::now);
+    /// release builds clamp and count the clamp in
+    /// [`clamped_past_schedules`](Self::clamped_past_schedules).
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        self.queue.schedule(at, event);
+        if at < self.now {
+            self.clamped_past += 1;
+        }
+        debug_assert!(at >= self.now, "cannot schedule into the past");
+        self.queue.schedule(at.max(self.now), event);
     }
 
     /// Runs the model until `horizon` (inclusive), the queue drains, or the
@@ -571,13 +591,37 @@ mod tests {
         }
     }
 
+    /// The two ways to schedule into the past: from a handler
+    /// (`Scheduler::at`, via `PastScheduler`'s `Chain` event), and from
+    /// outside once the clock has moved on (`Simulation::schedule` after
+    /// `run_until`, as `Engine::schedule_migration` does). Either way the
+    /// past event, once run, should fire at 5 ms.
+    fn schedule_into_the_past(external: bool) -> (Simulation<Ev>, PastScheduler) {
+        let mut sim = Simulation::new();
+        let mut model = PastScheduler { fired_at: Vec::new() };
+        if external {
+            sim.schedule(SimTime::from_millis(5), Ev::Emit(0));
+            sim.run_until(&mut model, SimTime::from_millis(5));
+            model.fired_at.clear();
+            sim.schedule(SimTime::from_micros(1), Ev::Emit(7));
+        } else {
+            sim.schedule(SimTime::from_millis(5), Ev::Chain(0));
+        }
+        (sim, model)
+    }
+
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_the_past_panics_in_debug() {
-        let mut sim = Simulation::new();
-        sim.schedule(SimTime::from_millis(5), Ev::Chain(0));
-        sim.run_until(&mut PastScheduler { fired_at: Vec::new() }, SimTime::from_secs(1));
+        let from_handler = std::panic::catch_unwind(|| {
+            let (mut sim, mut model) = schedule_into_the_past(false);
+            sim.run_until(&mut model, SimTime::from_secs(1));
+        });
+        let err = from_handler.expect_err("a past schedule from a handler must panic");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"cannot schedule into the past"));
+        // An external past schedule panics at the call, before any run.
+        let _ = schedule_into_the_past(true);
     }
 
     #[test]
@@ -586,13 +630,17 @@ mod tests {
         // Release builds must not corrupt pop order: the past instant is
         // clamped to `now`, so the event fires at the current instant and
         // the clock never runs backwards.
-        let mut sim = Simulation::new();
-        sim.schedule(SimTime::from_millis(5), Ev::Chain(0));
-        let mut model = PastScheduler { fired_at: Vec::new() };
-        assert_eq!(sim.run_until(&mut model, SimTime::from_secs(1)), RunOutcome::Quiescent);
-        assert_eq!(model.fired_at, vec![5_000], "clamped to the scheduling instant");
-        assert_eq!(sim.now(), SimTime::from_millis(5));
-        assert_eq!(sim.clamped_past_schedules(), 1, "the silent clamp is counted");
+        for external in [false, true] {
+            let (mut sim, mut model) = schedule_into_the_past(external);
+            assert_eq!(sim.run_until(&mut model, SimTime::from_secs(1)), RunOutcome::Quiescent);
+            assert_eq!(model.fired_at, vec![5_000], "clamped to now: external={external}");
+            assert_eq!(sim.now(), SimTime::from_millis(5), "external={external}");
+            assert_eq!(
+                sim.clamped_past_schedules(),
+                1,
+                "the clamp is counted: external={external}"
+            );
+        }
     }
 
     #[test]

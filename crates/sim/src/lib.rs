@@ -22,20 +22,32 @@
 //! [`QueueBackend`] via [`EventQueue::with_backend`] /
 //! [`Simulation::with_backend`]:
 //!
-//! * **`Heap`** (default) — a binary heap; `O(log n)` everywhere, no
-//!   tuning, robust to arbitrary timestamp distributions.
+//! * **`Heap`** (default) — a binary heap fronted by up to
+//!   [`DELAY_LANES`] per-delay FIFO lanes. Relative schedules
+//!   ([`Scheduler::after`], [`Scheduler::after_batch`],
+//!   [`Scheduler::now_event`], all through
+//!   [`EventQueue::schedule_after`]) land at `now + delay`; since `now`
+//!   never decreases inside a run, entries with the same delay arrive in
+//!   `(due, seq)` order and are appended to that delay's lane in `O(1)`.
+//!   Popping takes the least of the heap top and the non-empty lanes'
+//!   heads. Absolute schedules ([`Scheduler::at`], [`Simulation::schedule`]),
+//!   delays past the first [`DELAY_LANES`] distinct ones and any push that
+//!   would land behind its lane's tail go to the heap, which is
+//!   `O(log n)` and robust to any timestamp distribution.
 //! * **`Calendar`** — a two-tier calendar queue (near-term bucket ring +
-//!   sorted far-future overflow tier); `O(1)` amortized for the dense
-//!   near-term traffic DES workloads are made of, and several times faster
-//!   than the heap at 100k+ pending events.
+//!   sorted far-future overflow tier); `O(1)` amortized for dense
+//!   near-term traffic whatever way it was scheduled.
 //!
 //! **Semantics guarantee:** both backends pop in identical `(due, seq)`
 //! order for *any* interleaving of schedules and pops, so traces, stats and
 //! seeds are backend-independent — switching backends can never change a
-//! result, only how fast it arrives. Pick `Calendar` for large simulations
-//! (thousands of instances, 100k+ pending events); stick with `Heap` for
-//! small models or when timestamps are adversarially far-flung (each window
-//! rotation pays a sort of the overflow tier).
+//! result, only how fast it arrives. The engine schedules almost all of
+//! its events relative to `now` with a handful of fixed delays (transport
+//! latencies, zero-delay wake-ups, control service time), which the lanes
+//! serve faster than the calendar. The calendar's remaining case is large
+//! volumes of absolute, far-flung schedules, where the heap pays
+//! `O(log n)` per event (each calendar window rotation pays a sort of the
+//! overflow tier instead).
 //!
 //! # Execution model
 //!
@@ -113,6 +125,6 @@ mod time;
 mod workers;
 
 pub use executor::{Process, RunOutcome, Scheduler, SimExecutor, Simulation};
-pub use queue::{EventQueue, QueueBackend, CALENDAR_BUCKETS, CALENDAR_BUCKET_MICROS};
+pub use queue::{EventQueue, QueueBackend, CALENDAR_BUCKETS, CALENDAR_BUCKET_MICROS, DELAY_LANES};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -11,8 +11,17 @@
 //! Two interchangeable backends implement that contract, selected by
 //! [`QueueBackend`]:
 //!
-//! * [`QueueBackend::Heap`] — a `BinaryHeap` of `(due, seq)`-keyed entries.
-//!   Every operation is `O(log n)`; no tuning, no pathological cases. The
+//! * [`QueueBackend::Heap`] — a `BinaryHeap` of `(due, seq)`-keyed entries
+//!   fronted by up to [`DELAY_LANES`] per-delay FIFO lanes. A relative
+//!   schedule ([`EventQueue::schedule_after`]) lands at `now + delay`;
+//!   while `now` does not decrease, every entry with the same delay
+//!   arrives already in `(due, seq)` order, so it is appended to that
+//!   delay's lane in `O(1)` instead of sifting through the heap. The
+//!   queue's minimum is the minimum over the heap top and the heads of the
+//!   non-empty lanes (a bitmask keeps the scan to those). Absolute
+//!   schedules, delays beyond the first [`DELAY_LANES`] distinct ones, and
+//!   any push that would land behind its lane's tail go to the heap, so
+//!   the pop order is exactly the plain heap's for every caller. The
 //!   default, and the reference implementation the calendar backend is
 //!   tested against.
 //! * [`QueueBackend::Calendar`] — a two-tier calendar queue: a ring of
@@ -22,19 +31,19 @@
 //!   drains into the ring as the window advances. Scheduling into the
 //!   window is `O(1)` amortized (same-instant and monotone appends skip
 //!   sorting entirely), popping is `O(1)` off the current bucket, and only
-//!   window rotations pay a sort. On the engine's workload — dense
-//!   near-term traffic plus sparse far-future timers — it is several times
-//!   faster than the heap at 100k pending events (see the `hotpath`
-//!   bench's `event_queue` group and its CI tripwire).
+//!   window rotations pay a sort. On absolute, mixed-horizon schedules at
+//!   100k pending events it is several times faster than the plain heap
+//!   (see the `hotpath` bench's `event_queue` group and its CI tripwire).
 //!
 //! Both backends produce **byte-identical pop sequences** for any
 //! interleaving of schedules and pops — this is proptested in
 //! `tests/proptest_invariants.rs` and pinned against all determinism trace
-//! hashes, so backend choice is purely a performance knob. Pick `Heap` for
-//! tiny models or adversarially far-flung timestamps; pick `Calendar` for
-//! large simulations with mostly near-term traffic.
+//! hashes, so backend choice is purely a performance knob. The engine
+//! schedules almost everything relative to `now` with a handful of fixed
+//! delays, which the lanes serve in `O(1)`; the calendar's remaining case
+//! is large volumes of absolute, far-flung schedules.
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -67,7 +76,8 @@ fn slot_of(due: SimTime) -> u64 {
 /// order-identical.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum QueueBackend {
-    /// Binary-heap future-event list: `O(log n)` everywhere, no tuning.
+    /// Binary heap behind per-delay FIFO lanes: `O(1)` for relative
+    /// schedules with a recurring delay, `O(log n)` for everything else.
     #[default]
     Heap,
     /// Two-tier calendar queue: `O(1)` amortized scheduling and popping
@@ -332,11 +342,192 @@ impl<E> Calendar<E> {
     }
 }
 
+/// Maximum number of per-delay FIFO lanes in front of the heap backend's
+/// binary heap. Lanes go to the first `DELAY_LANES` distinct delays a
+/// queue sees and keep them for its lifetime; later delays use the heap.
+pub const DELAY_LANES: usize = 16;
+
+/// Entries per lane chunk. Lanes grow and shrink a chunk at a time from a
+/// pool shared by all lanes of a queue, so a flood that moves from one
+/// delay to another reuses the same memory, and no lane keeps doubling
+/// slack of its own.
+const LANE_CHUNK: usize = 64;
+
+/// Source index standing for the binary heap in [`LanedHeap`] lookups.
+const HEAP_SOURCE: usize = DELAY_LANES;
+
+/// A run of up to [`LANE_CHUNK`] consecutive lane entries.
+type Chunk<E> = VecDeque<Scheduled<E>>;
+
+/// The heap backend: a binary heap behind per-delay FIFO lanes.
+///
+/// Invariants (relied on by [`front`](Self::front)):
+/// * every lane is ascending by `(due, seq)` — a push is only appended
+///   when its key is above the lane's tail;
+/// * bit `i` of `occupied` is set iff lane `i` is non-empty, and then
+///   `heads[i]` is the key of its first entry;
+/// * no lane holds an empty chunk.
+///
+/// The global minimum is therefore the least of the heap top and the
+/// occupied lanes' heads, so pops follow strict `(due, seq)` order no
+/// matter how entries were split between lanes and heap.
+#[derive(Debug, Clone)]
+struct LanedHeap<E> {
+    heap: BinaryHeap<Scheduled<E>>,
+    /// Delay served by each claimed lane (`lanes[i]` serves `delays[i]`).
+    delays: Vec<SimDuration>,
+    lanes: Vec<VecDeque<Chunk<E>>>,
+    heads: [(SimTime, u64); DELAY_LANES],
+    occupied: u16,
+    /// Entries held in lanes.
+    laned: usize,
+    /// Empty chunks, ready for any lane.
+    pool: Vec<Chunk<E>>,
+}
+
+impl<E> LanedHeap<E> {
+    fn new() -> Self {
+        LanedHeap {
+            heap: BinaryHeap::new(),
+            delays: Vec::with_capacity(DELAY_LANES),
+            lanes: Vec::with_capacity(DELAY_LANES),
+            heads: [(SimTime::ZERO, 0); DELAY_LANES],
+            occupied: 0,
+            laned: 0,
+            pool: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len() + self.laned
+    }
+
+    /// The lane serving `delay`, claiming a free one if any is left.
+    fn lane_for(&mut self, delay: SimDuration) -> Option<usize> {
+        if let Some(i) = self.delays.iter().position(|&d| d == delay) {
+            return Some(i);
+        }
+        if self.delays.len() == DELAY_LANES {
+            return None;
+        }
+        self.delays.push(delay);
+        self.lanes.push(VecDeque::new());
+        Some(self.delays.len() - 1)
+    }
+
+    /// Appends `entry` to the lane for `delay` when it keeps the lane
+    /// sorted; otherwise (no lane left, or the entry would land behind the
+    /// lane's tail) pushes it onto the heap.
+    fn insert_after(&mut self, delay: SimDuration, entry: Scheduled<E>) {
+        let Some(i) = self.lane_for(delay) else {
+            self.heap.push(entry);
+            return;
+        };
+        let lane = &mut self.lanes[i];
+        let tail = lane.back().and_then(VecDeque::back);
+        if tail.is_some_and(|tail| tail.key() > entry.key()) {
+            self.heap.push(entry);
+            return;
+        }
+        if tail.is_none() {
+            self.heads[i] = entry.key();
+            self.occupied |= 1 << i;
+        }
+        match lane.back_mut() {
+            Some(chunk) if chunk.len() < LANE_CHUNK => chunk.push_back(entry),
+            _ => {
+                // A fresh chunk grows to `LANE_CHUNK` on demand, so lanes of
+                // a small queue stay small; pooled chunks keep their size.
+                let mut chunk = self.pool.pop().unwrap_or_default();
+                chunk.push_back(entry);
+                lane.push_back(chunk);
+            }
+        }
+        self.laned += 1;
+    }
+
+    /// Source (lane index, or [`HEAP_SOURCE`]) and key of the earliest
+    /// entry.
+    fn front(&self) -> Option<(usize, (SimTime, u64))> {
+        let mut best = self.heap.peek().map(|s| (HEAP_SOURCE, s.key()));
+        let mut bits = self.occupied;
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let key = self.heads[i];
+            if best.is_none_or(|(_, b)| key < b) {
+                best = Some((i, key));
+            }
+        }
+        best
+    }
+
+    /// Removes the head of `source`, as returned by [`front`](Self::front).
+    fn take(&mut self, source: usize) -> Scheduled<E> {
+        if source == HEAP_SOURCE {
+            return self.heap.pop().expect("heap top present");
+        }
+        let lane = &mut self.lanes[source];
+        let chunk = lane.front_mut().expect("occupied lane has a chunk");
+        let entry = chunk.pop_front().expect("lane chunks are non-empty");
+        if chunk.is_empty() {
+            let chunk = lane.pop_front().expect("front chunk present");
+            self.pool.push(chunk);
+        }
+        match lane.front().and_then(VecDeque::front) {
+            Some(next) => self.heads[source] = next.key(),
+            None => self.occupied &= !(1 << source),
+        }
+        self.laned -= 1;
+        entry
+    }
+
+    fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.front().map(|(_, key)| key)
+    }
+
+    fn pop(&mut self) -> Option<Scheduled<E>> {
+        let (source, _) = self.front()?;
+        Some(self.take(source))
+    }
+
+    /// Pops the earliest entry if it is due at or before `now`.
+    fn pop_due(&mut self, now: SimTime) -> Option<Scheduled<E>> {
+        match self.front() {
+            Some((source, (due, _))) if due <= now => Some(self.take(source)),
+            _ => None,
+        }
+    }
+}
+
 /// The backend storage of an [`EventQueue`].
 #[derive(Debug, Clone)]
 enum Tier<E> {
-    Heap(BinaryHeap<Scheduled<E>>),
+    Heap(Box<LanedHeap<E>>),
     Calendar(Box<Calendar<E>>),
+}
+
+impl<E> Tier<E> {
+    fn insert(&mut self, entry: Scheduled<E>) {
+        match self {
+            Tier::Heap(lh) => lh.heap.push(entry),
+            Tier::Calendar(cal) => cal.insert(entry),
+        }
+    }
+
+    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+        match self {
+            Tier::Heap(lh) => lh.peek_key(),
+            Tier::Calendar(cal) => cal.peek().map(Scheduled::key),
+        }
+    }
+
+    fn pop(&mut self) -> Option<Scheduled<E>> {
+        match self {
+            Tier::Heap(lh) => lh.pop(),
+            Tier::Calendar(cal) => cal.pop(),
+        }
+    }
 }
 
 /// A time-ordered queue of future events with deterministic FIFO tie-breaks.
@@ -355,6 +546,22 @@ enum Tier<E> {
 /// assert_eq!(q.pop(), Some((SimTime::from_millis(5), "later")));
 /// assert_eq!(q.pop(), Some((SimTime::from_millis(5), "later-still")));
 /// assert_eq!(q.pop(), None);
+/// ```
+///
+/// Relative schedules pop in the same order as their absolute
+/// equivalents:
+///
+/// ```
+/// use flowmig_sim::{EventQueue, SimDuration, SimTime};
+///
+/// let mut q = EventQueue::new();
+/// let now = SimTime::from_millis(1);
+/// q.schedule_after(now, SimDuration::from_millis(2), "lane");
+/// q.schedule(SimTime::from_millis(3), "heap");
+/// q.schedule_after(now, SimDuration::ZERO, "now");
+/// assert_eq!(q.pop(), Some((SimTime::from_millis(1), "now")));
+/// assert_eq!(q.pop(), Some((SimTime::from_millis(3), "lane")));
+/// assert_eq!(q.pop(), Some((SimTime::from_millis(3), "heap")));
 /// ```
 ///
 /// The calendar backend pops the same sequence:
@@ -391,7 +598,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue on the given backend.
     pub fn with_backend(backend: QueueBackend) -> Self {
         let tier = match backend {
-            QueueBackend::Heap => Tier::Heap(BinaryHeap::new()),
+            QueueBackend::Heap => Tier::Heap(Box::new(LanedHeap::new())),
             QueueBackend::Calendar => Tier::Calendar(Box::new(Calendar::new())),
         };
         EventQueue { tier, next_seq: 0, peak_pending: 0 }
@@ -405,18 +612,39 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Next `(due, seq)`-keyed entry for `due`, advancing the sequence
+    /// counter.
+    fn entry(&mut self, due: SimTime, event: E) -> Scheduled<E> {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Scheduled { due, seq, event }
+    }
+
+    fn note_pending(&mut self) {
+        self.peak_pending = self.peak_pending.max(self.len());
+    }
+
     /// Schedules `event` to fire at `due`.
     ///
     /// Events scheduled for the same instant pop in insertion order.
     pub fn schedule(&mut self, due: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let entry = Scheduled { due, seq, event };
+        let entry = self.entry(due, event);
+        self.tier.insert(entry);
+        self.note_pending();
+    }
+
+    /// Schedules `event` to fire `delay` after `now` — the same pop order
+    /// as [`schedule`](Self::schedule)`(now + delay, event)`. On the heap
+    /// backend the entry joins `delay`'s FIFO lane when that keeps the lane
+    /// sorted (a caller whose `now` never decreases always does), which is
+    /// `O(1)` instead of a heap sift.
+    pub fn schedule_after(&mut self, now: SimTime, delay: SimDuration, event: E) {
+        let entry = self.entry(now + delay, event);
         match &mut self.tier {
-            Tier::Heap(heap) => heap.push(entry),
+            Tier::Heap(lh) => lh.insert_after(delay, entry),
             Tier::Calendar(cal) => cal.insert(entry),
         }
-        self.peak_pending = self.peak_pending.max(self.len());
+        self.note_pending();
     }
 
     /// Schedules a batch of events all due at `due`, preserving the
@@ -429,8 +657,8 @@ impl<E> EventQueue<E> {
     {
         let events = events.into_iter();
         let (lower, _) = events.size_hint();
-        if let Tier::Heap(heap) = &mut self.tier {
-            heap.reserve(lower);
+        if let Tier::Heap(lh) = &mut self.tier {
+            lh.heap.reserve(lower);
         }
         for event in events {
             self.schedule(due, event);
@@ -439,11 +667,7 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = match &mut self.tier {
-            Tier::Heap(heap) => heap.pop(),
-            Tier::Calendar(cal) => cal.pop(),
-        };
-        entry.map(|s| (s.due, s.event))
+        self.tier.pop().map(|s| (s.due, s.event))
     }
 
     /// Drains and returns every event due at or before `now`, in the exact
@@ -469,15 +693,14 @@ impl<E> EventQueue<E> {
     pub fn pop_due_capped_into(&mut self, now: SimTime, max: usize, into: &mut Vec<(SimTime, E)>) {
         let mut taken = 0;
         match &mut self.tier {
-            Tier::Heap(heap) => {
+            Tier::Heap(lh) => {
                 while taken < max {
-                    match heap.peek() {
-                        Some(s) if s.due <= now => {
-                            let s = heap.pop().expect("peeked entry present");
+                    match lh.pop_due(now) {
+                        Some(s) => {
                             into.push((s.due, s.event));
                             taken += 1;
                         }
-                        _ => break,
+                        None => break,
                     }
                 }
             }
@@ -503,16 +726,13 @@ impl<E> EventQueue<E> {
     /// peek may advance the window cursor or rotate the lookahead window
     /// (neither changes the pop sequence).
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.tier {
-            Tier::Heap(heap) => heap.peek().map(|s| s.due),
-            Tier::Calendar(cal) => cal.peek().map(|s| s.due),
-        }
+        self.tier.peek_key().map(|(due, _)| due)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
         match &self.tier {
-            Tier::Heap(heap) => heap.len(),
+            Tier::Heap(lh) => lh.len(),
             Tier::Calendar(cal) => cal.len,
         }
     }
@@ -554,21 +774,14 @@ impl<E> EventQueue<E> {
     /// Inserts an entry that already carries its global sequence number.
     /// Does **not** advance `next_seq` — the driver owns the counter.
     pub(crate) fn schedule_preassigned(&mut self, due: SimTime, seq: u64, event: E) {
-        let entry = Scheduled { due, seq, event };
-        match &mut self.tier {
-            Tier::Heap(heap) => heap.push(entry),
-            Tier::Calendar(cal) => cal.insert(entry),
-        }
-        self.peak_pending = self.peak_pending.max(self.len());
+        self.tier.insert(Scheduled { due, seq, event });
+        self.note_pending();
     }
 
     /// `(due, seq)` key of the earliest pending entry (`&mut` for the same
     /// lazy-settle reason as [`peek_time`](Self::peek_time)).
     pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match &mut self.tier {
-            Tier::Heap(heap) => heap.peek().map(Scheduled::key),
-            Tier::Calendar(cal) => cal.peek().map(Scheduled::key),
-        }
+        self.tier.peek_key()
     }
 
     /// Pops a *run* — entries due at or before `horizon`, in `(due, seq)`
@@ -582,7 +795,7 @@ impl<E> EventQueue<E> {
         &mut self,
         horizon: SimTime,
         max: usize,
-        lookahead: crate::SimDuration,
+        lookahead: SimDuration,
         into: &mut Vec<Scheduled<E>>,
     ) -> Option<(SimTime, u64)> {
         debug_assert!(into.is_empty(), "pop_run_into requires a cleared buffer");
@@ -599,11 +812,7 @@ impl<E> EventQueue<E> {
                     _ => return Some(key),
                 }
             }
-            let entry = match &mut self.tier {
-                Tier::Heap(heap) => heap.pop(),
-                Tier::Calendar(cal) => cal.pop(),
-            }
-            .expect("peeked entry present");
+            let entry = self.tier.pop().expect("peeked entry present");
             first_due.get_or_insert(entry.due);
             into.push(entry);
         }
@@ -611,15 +820,8 @@ impl<E> EventQueue<E> {
 
     /// Drains every entry, keys intact, in `(due, seq)` order.
     pub(crate) fn drain_all_into(&mut self, into: &mut Vec<Scheduled<E>>) {
-        loop {
-            let entry = match &mut self.tier {
-                Tier::Heap(heap) => heap.pop(),
-                Tier::Calendar(cal) => cal.pop(),
-            };
-            match entry {
-                Some(e) => into.push(e),
-                None => return,
-            }
+        while let Some(entry) = self.tier.pop() {
+            into.push(entry);
         }
     }
 
@@ -845,12 +1047,21 @@ mod tests {
         };
         let mut now = SimTime::ZERO;
         for i in 0..5_000u64 {
-            match rng() % 5 {
+            match rng() % 6 {
+                5 => {
+                    // Relative: a few recurring delays, some jittered.
+                    let r = rng();
+                    let micros =
+                        if r % 3 == 0 { r % 5_000 } else { [0, 200, 1_500][(r % 3) as usize] };
+                    let delay = SimDuration::from_micros(micros);
+                    heap.schedule_after(now, delay, i);
+                    cal.schedule_after(now, delay, i);
+                }
                 0 | 1 => {
                     // Mixed horizons: mostly near-term, some far.
                     let r = rng();
                     let micros = if r % 8 == 0 { r % 30_000_000 } else { r % 400_000 };
-                    let due = now + crate::SimDuration::from_micros(micros);
+                    let due = now + SimDuration::from_micros(micros);
                     heap.schedule(due, i);
                     cal.schedule(due, i);
                 }
@@ -867,7 +1078,7 @@ mod tests {
                 }
                 _ => {
                     let cap = (rng() % 7) as usize;
-                    let horizon = now + crate::SimDuration::from_millis(rng() % 50);
+                    let horizon = now + SimDuration::from_millis(rng() % 50);
                     let a = heap.pop_due_capped(horizon, cap);
                     let b = cal.pop_due_capped(horizon, cap);
                     assert_eq!(a, b, "capped drain diverged at step {i}");

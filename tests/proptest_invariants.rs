@@ -457,19 +457,32 @@ proptest! {
     /// The heap and calendar future-event-list backends pop byte-identical
     /// sequences for any interleaving of schedules (near-term and
     /// far-future, exercising the overflow tier and window rotation),
-    /// single pops, peeks, and budget-capped batch drains
+    /// relative schedules (the heap backend's per-delay lanes), single
+    /// pops, peeks, and budget-capped batch drains
     /// (`pop_due_capped_into`). This is the semantics guarantee that makes
     /// `QueueBackend` a pure performance knob.
     #[test]
     fn queue_backends_pop_byte_identically(
-        ops in proptest::collection::vec((0u8..6, 0u64..4_000_000_000), 1..250),
+        ops in proptest::collection::vec((0u8..8, 0u64..4_000_000_000), 1..250),
     ) {
         use flowmig::sim::EventQueue;
         let mut heap = EventQueue::with_backend(QueueBackend::Heap);
         let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
         let mut tag = 0u64;
+        // Relative schedules run at the latest popped instant, as a
+        // simulation's handlers do.
+        let mut now = SimTime::ZERO;
         for (step, &(kind, raw)) in ops.iter().enumerate() {
             match kind {
+                6 | 7 => {
+                    let delay = SimDuration::from_micros(match raw % 4 {
+                        0 => raw % 2_000_000,          // jittered
+                        _ => [0, 200, 1_000, 1_500][(raw / 4 % 4) as usize],
+                    });
+                    heap.schedule_after(now, delay, tag);
+                    cal.schedule_after(now, delay, tag);
+                    tag += 1;
+                }
                 // Schedule: biased near-term, sometimes hours out — far
                 // enough to guarantee overflow-tier traffic and rebases.
                 0..=2 => {
@@ -484,7 +497,11 @@ proptest! {
                     tag += 1;
                 }
                 3 => {
-                    prop_assert_eq!(heap.pop(), cal.pop(), "pop diverged at step {}", step);
+                    let a = heap.pop();
+                    prop_assert_eq!(a, cal.pop(), "pop diverged at step {}", step);
+                    if let Some((t, _)) = a {
+                        now = now.max(t);
+                    }
                 }
                 4 => {
                     prop_assert_eq!(
@@ -497,7 +514,10 @@ proptest! {
                     let horizon = SimTime::from_micros(raw % 2_000_000_000);
                     let a = heap.pop_due_capped(horizon, cap);
                     let b = cal.pop_due_capped(horizon, cap);
-                    prop_assert_eq!(a, b, "capped drain diverged at step {}", step);
+                    prop_assert_eq!(&a, &b, "capped drain diverged at step {}", step);
+                    if let Some(&(t, _)) = a.last() {
+                        now = now.max(t);
+                    }
                 }
             }
             prop_assert_eq!(heap.len(), cal.len());
@@ -512,6 +532,93 @@ proptest! {
             }
         }
         prop_assert_eq!(heap.scheduled_total(), cal.scheduled_total());
+    }
+}
+
+proptest! {
+    /// The heap backend's per-delay lanes never change pop order: run in
+    /// lockstep with a plain `BinaryHeap` keyed by `(due, seq)`, it pops,
+    /// peeks and drains identically under relative schedules over more
+    /// distinct delays than there are lanes (the heap fallback), a `now`
+    /// that sometimes moves backwards (pushes that would land behind a
+    /// lane's tail), and absolute schedules. Its pending high-water mark
+    /// matches the reference's too.
+    #[test]
+    fn heap_lanes_pop_in_reference_order(
+        ops in proptest::collection::vec((0u8..9, 0u64..u64::MAX), 1..600),
+    ) {
+        use flowmig::sim::{EventQueue, DELAY_LANES};
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        let mut lanes = EventQueue::with_backend(QueueBackend::Heap);
+        let mut reference: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut peak = 0usize;
+        let mut now = SimTime::ZERO;
+        let pop_ref = |reference: &mut BinaryHeap<Reverse<(SimTime, u64)>>| {
+            reference.pop().map(|Reverse(key)| key)
+        };
+        for (step, &(kind, raw)) in ops.iter().enumerate() {
+            match kind {
+                // Relative schedule: mostly two hot delays (lanes longer
+                // than a chunk), else any of 2 × DELAY_LANES delays.
+                0..=3 => {
+                    let slots = if raw % 4 == 0 { 2 * DELAY_LANES as u64 } else { 2 };
+                    let delay = SimDuration::from_micros((raw / 4 % slots) * 250);
+                    lanes.schedule_after(now, delay, seq);
+                    reference.push(Reverse((now + delay, seq)));
+                    seq += 1;
+                }
+                // Move the clock: mostly forward, sometimes backward.
+                4 => {
+                    let shift = SimDuration::from_micros(raw % 5_000);
+                    now = if raw % 4 == 0 {
+                        SimTime::from_micros(now.as_micros().saturating_sub(shift.as_micros()))
+                    } else {
+                        now + shift
+                    };
+                }
+                5 => {
+                    let due = SimTime::from_micros(raw % 20_000);
+                    lanes.schedule(due, seq);
+                    reference.push(Reverse((due, seq)));
+                    seq += 1;
+                }
+                6 => {
+                    let expect = pop_ref(&mut reference);
+                    prop_assert_eq!(lanes.pop(), expect, "pop diverged at step {}", step);
+                }
+                7 => {
+                    let expect = reference.peek().map(|Reverse((due, _))| *due);
+                    prop_assert_eq!(lanes.peek_time(), expect, "peek diverged at step {}", step);
+                }
+                _ => {
+                    let cap = (raw % 9) as usize;
+                    let horizon = SimTime::from_micros(raw % 20_000);
+                    let mut expect = Vec::new();
+                    while expect.len() < cap
+                        && reference.peek().is_some_and(|Reverse((due, _))| *due <= horizon)
+                    {
+                        expect.extend(pop_ref(&mut reference));
+                    }
+                    prop_assert_eq!(
+                        lanes.pop_due_capped(horizon, cap), expect,
+                        "capped drain diverged at step {}", step
+                    );
+                }
+            }
+            prop_assert_eq!(lanes.len(), reference.len());
+            peak = peak.max(reference.len());
+        }
+        prop_assert_eq!(lanes.peak_pending(), peak);
+        loop {
+            let expect = pop_ref(&mut reference);
+            prop_assert_eq!(lanes.pop(), expect, "final drain diverged");
+            if expect.is_none() {
+                break;
+            }
+        }
     }
 }
 
