@@ -87,8 +87,7 @@ impl MigrationController {
 
     /// Selects the simulation's future-event-list backend. Backends are
     /// provably order-identical (see the `flowmig_sim::queue` module
-    /// docs): traces and stats do not change, only wall-clock speed —
-    /// `Calendar` pays off at thousands of instances.
+    /// docs): traces and stats do not change, only wall-clock speed.
     pub fn with_queue_backend(mut self, backend: QueueBackend) -> Self {
         self.engine_config.queue_backend = backend;
         self

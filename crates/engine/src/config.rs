@@ -28,6 +28,7 @@
 
 use flowmig_sim::{QueueBackend, SimDuration, SimExecutor, SimRng};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Latency model of the checkpoint state store (the paper's Redis v3.2.8 on
 /// a dedicated D3 VM).
@@ -262,12 +263,14 @@ pub struct EngineConfig {
     pub event_budget: u64,
     /// Which future-event-list backend the simulation runs on. Backends
     /// are provably order-identical (see the `flowmig_sim::queue` module
-    /// docs), so this is purely a performance knob: `Calendar` pays off on
-    /// large scenarios, `Heap` (the default) is the untunable baseline.
+    /// docs), so this is purely a performance knob; `Heap` (the default)
+    /// is the faster backend on every measured workload.
     ///
     /// The default honors the `FLOWMIG_QUEUE_BACKEND` environment variable
     /// (`heap` | `calendar`), which is how CI runs the whole test suite
-    /// under the calendar backend without touching any call site.
+    /// under the calendar backend without touching any call site. The
+    /// variable is read once per process, by the first
+    /// `EngineConfig::default()`; later changes to it are not seen.
     pub queue_backend: QueueBackend,
     /// Which simulation executor the engine runs on:
     /// [`SimExecutor::SingleThread`] (the default) or
@@ -282,7 +285,8 @@ pub struct EngineConfig {
     /// The default honors the `FLOWMIG_SIM_WORKERS` environment variable
     /// (a positive worker count; `1` means single-threaded), which is how
     /// CI runs the whole test suite under `Workers(4)` without touching
-    /// any call site.
+    /// any call site. The variable is read once per process, by the first
+    /// `EngineConfig::default()`; later changes to it are not seen.
     pub sim_workers: SimExecutor,
 }
 
@@ -319,26 +323,31 @@ impl Default for EngineConfig {
 
 /// Default queue backend: `FLOWMIG_QUEUE_BACKEND` if set (a typo panics
 /// loudly rather than silently running the wrong backend in a CI matrix
-/// leg), otherwise [`QueueBackend::Heap`].
+/// leg), otherwise [`QueueBackend::Heap`]. Read once per process: a
+/// workload that builds hundreds of default configs pays for one
+/// `getenv`, not one per config.
 fn queue_backend_from_env() -> QueueBackend {
-    match std::env::var("FLOWMIG_QUEUE_BACKEND") {
+    static BACKEND: OnceLock<QueueBackend> = OnceLock::new();
+    *BACKEND.get_or_init(|| match std::env::var("FLOWMIG_QUEUE_BACKEND") {
         Ok(value) => {
             value.parse().unwrap_or_else(|err| panic!("invalid FLOWMIG_QUEUE_BACKEND: {err}"))
         }
         Err(_) => QueueBackend::Heap,
-    }
+    })
 }
 
 /// Default simulation executor: `FLOWMIG_SIM_WORKERS` if set (a typo or a
 /// zero panics loudly rather than silently running single-threaded in a
-/// CI matrix leg), otherwise [`SimExecutor::SingleThread`].
+/// CI matrix leg), otherwise [`SimExecutor::SingleThread`]. Read once per
+/// process, like [`queue_backend_from_env`].
 fn sim_workers_from_env() -> SimExecutor {
-    match std::env::var("FLOWMIG_SIM_WORKERS") {
+    static EXECUTOR: OnceLock<SimExecutor> = OnceLock::new();
+    *EXECUTOR.get_or_init(|| match std::env::var("FLOWMIG_SIM_WORKERS") {
         Ok(value) => {
             value.parse().unwrap_or_else(|err| panic!("invalid FLOWMIG_SIM_WORKERS: {err}"))
         }
         Err(_) => SimExecutor::SingleThread,
-    }
+    })
 }
 
 impl EngineConfig {

@@ -1,5 +1,5 @@
 //! Flat dispatch state: dense per-instance metadata, routing tables, and
-//! the rebalance-scope bitset.
+//! the dense bitset behind every instance set and alignment barrier.
 //!
 //! Everything the hot event paths (`emit_root`, `route`, `on_deliver`,
 //! `on_wake`, `finish_data`, `forward_control`) used to resolve through
@@ -202,29 +202,39 @@ impl DispatchTables {
     }
 }
 
-/// A fixed-capacity bitset over dense instance indices — O(1) membership
-/// for the per-delivery rebalance-scope check that used to walk the scope
-/// `Vec` on every delivered event.
+/// A bitset over dense indices — O(1), hash-free membership for instance
+/// sets (the per-delivery rebalance-scope check, wave participants and
+/// scopes, wave ack trackers) and for the sender slots of barrier
+/// alignment. It grows on insert, so a barrier that never aligns (every
+/// non-sequential wave) allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct InstanceBitset {
     words: Vec<u64>,
 }
 
 impl InstanceBitset {
-    /// An empty bitset sized for `n` instances.
+    /// An empty bitset sized for `n` indices.
     pub fn with_capacity(n: usize) -> Self {
         InstanceBitset { words: vec![0; n.div_ceil(64)] }
     }
 
-    /// Marks instance `i`.
-    pub fn insert(&mut self, i: usize) {
-        self.words[i / 64] |= 1u64 << (i % 64);
+    /// Marks index `i`; returns `true` if it was not marked before (the
+    /// `HashSet::insert` contract).
+    #[inline]
+    pub fn insert(&mut self, i: usize) -> bool {
+        if i / 64 >= self.words.len() {
+            self.words.resize(i / 64 + 1, 0);
+        }
+        let (word, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
     }
 
-    /// Whether instance `i` is marked.
+    /// Whether index `i` is marked.
     #[inline]
     pub fn contains(&self, i: usize) -> bool {
-        (self.words[i / 64] >> (i % 64)) & 1 != 0
+        self.words.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 != 0)
     }
 
     /// Clears every mark (capacity retained).
@@ -232,7 +242,13 @@ impl InstanceBitset {
         self.words.fill(0);
     }
 
-    /// Whether no instance is marked.
+    /// Indices addressable without growing.
+    #[cfg(test)]
+    pub fn capacity(&self) -> usize {
+        self.words.len() * 64
+    }
+
+    /// Whether no index is marked.
     #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
@@ -283,13 +299,19 @@ mod tests {
         assert!(b.is_empty());
         for i in [0usize, 63, 64, 127, 199] {
             assert!(!b.contains(i));
-            b.insert(i);
+            assert!(b.insert(i));
             assert!(b.contains(i));
+            assert!(!b.insert(i), "a second insert reports the index as present");
         }
         assert!(!b.contains(1));
         assert!(!b.contains(128));
+        assert!(!b.contains(10_000), "past the end reads as unmarked");
         b.clear();
         assert!(b.is_empty());
         assert!(!b.contains(63));
+        // Growth on insert: an unsized bitset addresses any index.
+        let mut g = InstanceBitset::default();
+        assert!(g.insert(300));
+        assert!(g.contains(300) && !g.contains(299));
     }
 }

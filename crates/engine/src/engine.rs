@@ -11,7 +11,7 @@ use crate::config::EngineConfig;
 use crate::dispatch::{DispatchTables, InstanceBitset};
 use crate::event::{ControlEvent, ControlSender, DataEvent, Ev, QueueItem};
 use crate::fasthash::FastHashMap;
-use crate::instance::{InstanceRuntime, Work, WorkerStatus};
+use crate::instance::{InstanceRuntime, SenderSlots, Work, WorkerStatus};
 use crate::protocol::{
     InstanceScope, MigrationCoordinator, ProtocolConfig, WaveDiscipline, WaveRouting, WaveScope,
 };
@@ -21,7 +21,7 @@ use flowmig_cluster::{Assignment, ScalePlan, ShardMap, VmId, VmRole};
 use flowmig_metrics::{ControlKind, MigrationPhase, RootId, TraceEvent, TraceLog};
 use flowmig_sim::{Process, RunOutcome, Scheduler, SimDuration, SimRng, SimTime, Simulation};
 use flowmig_topology::{Dataflow, InstanceId, InstanceSet, KeyRange, TaskId, TaskKind};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Mixes a root id into a uniformly distributed key hash (the SplitMix64
 /// finalizer): keyed tasks partition their key space over this hash, so
@@ -58,13 +58,48 @@ fn compress_partitions(mut parts: Vec<u32>) -> Vec<KeyRange> {
     ranges
 }
 
+/// A set of instances kept two ways: ascending for the walks that inject
+/// waves and redeploy instances in instance order, and as a bitset for
+/// O(1) membership.
+#[derive(Debug, Clone, Default)]
+struct MemberSet {
+    sorted: Vec<InstanceId>,
+    bits: InstanceBitset,
+}
+
+impl MemberSet {
+    /// The set of `members` (any order, duplicates allowed).
+    fn new(mut members: Vec<InstanceId>) -> Self {
+        members.sort_unstable();
+        members.dedup();
+        let mut bits = InstanceBitset::default();
+        for i in &members {
+            bits.insert(i.index());
+        }
+        MemberSet { sorted: members, bits }
+    }
+
+    #[inline]
+    fn contains(&self, i: InstanceId) -> bool {
+        self.bits.contains(i.index())
+    }
+
+    fn len(&self) -> usize {
+        self.sorted.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = InstanceId> + '_ {
+        self.sorted.iter().copied()
+    }
+}
+
 /// A resolved wave scope: which participants a scoped wave addresses, and
 /// (for key-range scopes) which key ranges of each keyed member actually
 /// move. A member without a `ranges` entry migrates whole-instance (an
 /// unkeyed task under a key-range scope has no ranges to slice).
 #[derive(Debug, Clone, Default)]
 struct ScopeSet {
-    members: HashSet<InstanceId>,
+    members: MemberSet,
     ranges: HashMap<usize, Vec<KeyRange>>,
 }
 
@@ -96,8 +131,18 @@ struct SourceState {
 /// Ack bookkeeping for one control-wave phase.
 #[derive(Debug, Clone, Default)]
 struct WaveTracker {
-    acked: HashSet<InstanceId>,
+    acked: InstanceBitset,
+    acked_count: usize,
     completed: bool,
+}
+
+impl WaveTracker {
+    /// Records `instance`'s ack; returns `true` on its first ack.
+    fn ack(&mut self, instance: usize) -> bool {
+        let fresh = self.acked.insert(instance);
+        self.acked_count += usize::from(fresh);
+        fresh
+    }
 }
 
 /// The engine's full mutable state (crate-private; drive it via [`Engine`]).
@@ -148,7 +193,8 @@ pub struct EngineModel {
     /// operations complete. `None` = no open window for that kind.
     parallel_pending: [Option<Vec<VecDeque<usize>>>; ControlKind::COUNT],
     trackers: [Option<WaveTracker>; ControlKind::COUNT],
-    participants: HashSet<InstanceId>,
+    /// Operator and sink instances: every instance a wave can address.
+    participants: MemberSet,
     /// Resolved scope of the most recent wave per kind; absent means the
     /// wave addresses every participant (the default, pin-preserving path).
     scope_sets: [Option<ScopeSet>; ControlKind::COUNT],
@@ -156,7 +202,9 @@ pub struct EngineModel {
     /// scope is resolved: only the members of the scoped wave are torn
     /// down — cold instances keep running through the migration.
     rebalance_scope: Option<Vec<InstanceId>>,
-    expected_senders: Vec<usize>,
+    /// Barrier layout of sequential waves: per task, which slot each
+    /// upstream sender occupies and how many an instance waits for.
+    sender_slots: SenderSlots,
     pinned_vm: VmId,
 }
 
@@ -265,12 +313,12 @@ impl EngineCtl<'_, '_> {
     pub fn wave_complete(&self, kind: ControlKind) -> bool {
         self.model.trackers[kind.index()]
             .as_ref()
-            .is_some_and(|t| t.acked.len() >= self.model.wave_target_count(kind))
+            .is_some_and(|t| t.acked_count >= self.model.wave_target_count(kind))
     }
 
     /// Number of participants that have acked the current `kind` phase.
     pub fn acked_count(&self, kind: ControlKind) -> usize {
-        self.model.trackers[kind.index()].as_ref().map_or(0, |t| t.acked.len())
+        self.model.trackers[kind.index()].as_ref().map_or(0, |t| t.acked_count)
     }
 
     /// Total wave participants (operator + sink instances).
@@ -327,6 +375,7 @@ impl EngineModel {
         seed: u64,
     ) -> Self {
         let n = instances.len();
+        let sender_slots = SenderSlots::build(&dag, &instances);
         let mut runtimes = Vec::with_capacity(n);
         for i in 0..n {
             let task = instances.task_of(InstanceId::from_index(i));
@@ -356,23 +405,12 @@ impl EngineModel {
             }
         }
 
-        let participants: HashSet<InstanceId> = instances
-            .iter()
-            .filter(|&i| dag.spec(instances.task_of(i)).kind() != TaskKind::Source)
-            .collect();
-
-        let mut expected_senders = vec![0usize; n];
-        for i in instances.iter() {
-            let task = instances.task_of(i);
-            let mut expected = 0;
-            for &u in dag.upstream(task) {
-                expected += match dag.spec(u).kind() {
-                    TaskKind::Source => 1, // the checkpoint source stands in
-                    _ => instances.of_task(u).len(),
-                };
-            }
-            expected_senders[i.index()] = expected;
-        }
+        let participants = MemberSet::new(
+            instances
+                .iter()
+                .filter(|&i| dag.spec(instances.task_of(i)).kind() != TaskKind::Source)
+                .collect(),
+        );
 
         let pinned_vm =
             plan.pool().with_role(VmRole::Pinned).next().expect("plan has a pinned source/sink VM");
@@ -414,7 +452,7 @@ impl EngineModel {
             participants,
             scope_sets: [const { None }; ControlKind::COUNT],
             rebalance_scope: None,
-            expected_senders,
+            sender_slots,
             pinned_vm,
         }
     }
@@ -865,23 +903,13 @@ impl EngineModel {
                 self.scope_sets[kind.index()] = None;
             }
             WaveScope::Instances(InstanceScope::Migrating) => {
-                let members: HashSet<InstanceId> = self
-                    .migrating
-                    .iter()
-                    .copied()
-                    .filter(|i| self.participants.contains(i))
-                    .collect();
+                let members = self.migrating_members();
                 self.scope_sets[kind.index()] = Some(ScopeSet { members, ranges: HashMap::new() });
             }
             WaveScope::KeyRanges(kr) => {
                 let set = self.resolve_key_range_scope(kr.hot_weight_permille);
-                let mut kill_set: Vec<InstanceId> = set.members.iter().copied().collect();
-                kill_set.sort_unstable_by_key(|i| i.index());
-                self.respawning.clear();
-                for i in &kill_set {
-                    self.respawning.insert(i.index());
-                }
-                self.rebalance_scope = Some(kill_set);
+                self.respawning = set.members.bits.clone();
+                self.rebalance_scope = Some(set.members.sorted.clone());
                 self.scope_sets[kind.index()] = Some(set);
             }
         }
@@ -895,23 +923,20 @@ impl EngineModel {
     /// owns any hot partition (e.g. a key-range scope over an unkeyed DAG
     /// degenerates to an instance scope).
     fn resolve_key_range_scope(&self, permille: u16) -> ScopeSet {
-        let mut members: HashSet<InstanceId> = HashSet::new();
+        let mut members: Vec<InstanceId> = Vec::new();
         let mut ranges: HashMap<usize, Vec<KeyRange>> = HashMap::new();
         for &iid in &self.migrating {
-            if !self.participants.contains(&iid) {
+            if !self.participants.contains(iid) {
                 continue;
             }
             let task = self.instances.task_of(iid);
             let spec = self.dag.spec(task);
             if !spec.is_keyed() {
-                members.insert(iid);
+                members.push(iid);
                 continue;
             }
-            let replicas = self.instances.of_task(task);
-            let slot =
-                replicas.iter().position(|&i| i == iid).expect("instance belongs to its task")
-                    as u32;
-            let k = replicas.len() as u32;
+            let slot = u32::from(self.instances.replica_of(iid));
+            let k = self.instances.of_task(task).len() as u32;
             let owned: Vec<u32> = spec
                 .hot_ranges(permille)
                 .iter()
@@ -921,17 +946,22 @@ impl EngineModel {
             if owned.is_empty() {
                 continue; // this replica's state is all cold: it stays put
             }
-            members.insert(iid);
+            members.push(iid);
             ranges.insert(iid.index(), compress_partitions(owned));
         }
         if members.is_empty() {
             // Nothing owns a hot partition (all-cold edge case): degrade
             // to the instance scope rather than wedge a zero-target wave.
-            members =
-                self.migrating.iter().copied().filter(|i| self.participants.contains(i)).collect();
-            ranges.clear();
+            return ScopeSet { members: self.migrating_members(), ranges: HashMap::new() };
         }
-        ScopeSet { members, ranges }
+        ScopeSet { members: MemberSet::new(members), ranges }
+    }
+
+    /// The migrating participants (the instance scope's members).
+    fn migrating_members(&self) -> MemberSet {
+        MemberSet::new(
+            self.migrating.iter().copied().filter(|&i| self.participants.contains(i)).collect(),
+        )
     }
 
     /// Participants the current `kind` wave addresses — the completion
@@ -997,14 +1027,12 @@ impl EngineModel {
             // behind them.
             let acked = self.trackers[kind.index()].as_ref().map(|t| &t.acked);
             let scope = self.scope_sets[kind.index()].as_ref();
-            let mut targets: Vec<usize> = self
-                .participants
+            let members = scope.map_or(&self.participants, |s| &s.members);
+            let targets: Vec<usize> = members
                 .iter()
-                .filter(|i| scope.is_none_or(|s| s.members.contains(i)))
-                .filter(|i| !(disc.windowed && acked.is_some_and(|a| a.contains(i))))
-                .map(|i| i.index())
+                .map(InstanceId::index)
+                .filter(|&i| !(disc.windowed && acked.is_some_and(|a| a.contains(i))))
                 .collect();
-            targets.sort_unstable();
             let from = ControlSender::CheckpointSource(TaskId::from_index(0));
             if disc.windowed {
                 // Paced by the sharded store: every shard serves at most
@@ -1202,9 +1230,21 @@ impl EngineModel {
     }
 
     fn already_acked(&self, kind: ControlKind, instance: usize) -> bool {
-        self.trackers[kind.index()]
-            .as_ref()
-            .is_some_and(|t| t.acked.contains(&InstanceId::from_index(instance)))
+        self.trackers[kind.index()].as_ref().is_some_and(|t| t.acked.contains(instance))
+    }
+
+    /// Records `from`'s `kind` marker at `instance`'s barrier; returns
+    /// `true` (and resets the barrier) once every upstream sender has been
+    /// seen.
+    fn align(&mut self, instance: usize, kind: ControlKind, from: ControlSender) -> bool {
+        let task = self.tables.meta(instance).task;
+        let slot = self.sender_slots.slot(task, from, &self.instances);
+        let seen = &mut self.runtimes[instance].seen;
+        if seen.record(kind, slot, from) < self.sender_slots.width(task) {
+            return false;
+        }
+        seen.clear(kind);
+        true
     }
 
     fn finish_control(&mut self, instance: usize, c: ControlEvent, sched: &mut Scheduler<'_, Ev>) {
@@ -1221,12 +1261,8 @@ impl EngineModel {
                     return;
                 }
                 let disc = self.wave_discipline(ControlKind::Prepare);
-                if disc.aligned {
-                    let seen = self.runtimes[instance].seen.record(ControlKind::Prepare, c.from);
-                    if seen < self.expected_senders[instance] {
-                        return; // waiting for the barrier to align
-                    }
-                    self.runtimes[instance].seen.clear(ControlKind::Prepare);
+                if disc.aligned && !self.align(instance, ControlKind::Prepare, c.from) {
+                    return; // waiting for the barrier to align
                 }
                 if self.protocol.capture_on_prepare {
                     // A key-range PREPARE narrows the capture to the
@@ -1251,14 +1287,12 @@ impl EngineModel {
                 if self.already_acked(ControlKind::Commit, instance) {
                     return;
                 }
-                if self.wave_discipline(ControlKind::Commit).aligned {
-                    // Barrier alignment only applies to the hop-by-hop
-                    // sweep; hub-and-spoke COMMITs act on first receipt.
-                    let seen = self.runtimes[instance].seen.record(ControlKind::Commit, c.from);
-                    if seen < self.expected_senders[instance] {
-                        return;
-                    }
-                    self.runtimes[instance].seen.clear(ControlKind::Commit);
+                // Barrier alignment only applies to the hop-by-hop sweep;
+                // hub-and-spoke COMMITs act on first receipt.
+                if self.wave_discipline(ControlKind::Commit).aligned
+                    && !self.align(instance, ControlKind::Commit, c.from)
+                {
+                    return;
                 }
                 // Second half: persist to the state store (service time
                 // plus any per-shard queueing delay). Keyed state adds its
@@ -1608,8 +1642,8 @@ impl EngineModel {
             let Some(tracker) = self.trackers[kind.index()].as_mut() else {
                 return;
             };
-            let newly_acked = tracker.acked.insert(iid);
-            let complete = tracker.acked.len() >= target;
+            let newly_acked = tracker.ack(instance);
+            let complete = tracker.acked_count >= target;
             let start = complete && !tracker.completed;
             if start {
                 tracker.completed = true;
@@ -2044,6 +2078,7 @@ mod tests {
     use crate::protocol::NoopCoordinator;
     use flowmig_cluster::ScaleDirection;
     use flowmig_topology::library;
+    use std::collections::HashSet;
 
     fn engine_for(dag: Dataflow, protocol: ProtocolConfig, seed: u64) -> Engine {
         let instances = InstanceSet::plan(&dag);

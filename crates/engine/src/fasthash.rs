@@ -11,7 +11,7 @@
 //! only if no observable behavior depends on its iteration order: every
 //! current user either accesses entries purely by key or sorts whatever
 //! it iterates (e.g. `Acker::expire` orders expiries by registration
-//! time, never by bucket iteration). The 37 pinned determinism trace
+//! time, never by bucket iteration). The 38 pinned determinism trace
 //! hashes are the regression proof — a hidden order dependence would
 //! shift a pin.
 

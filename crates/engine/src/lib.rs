@@ -63,9 +63,15 @@
 //!
 //! Per-kind wave bookkeeping (`next_wave`, trackers, routing, scopes) is
 //! stored in [`flowmig_metrics::ControlKind`]-indexed arrays
-//! (`ControlKind::index`), and a
-//! rebalance scope installs an instance-indexed bitset so the per-delivery
-//! "is this instance mid-respawn?" check is O(1).
+//! (`ControlKind::index`). Instance sets are dense bitsets, never hash
+//! sets: wave participants and scopes (kept beside a sorted list, so waves
+//! inject in instance order without sorting), wave ack trackers, and the
+//! rebalance scope behind the per-delivery "is this instance
+//! mid-respawn?" check. Barrier alignment is dense too: a `SenderSlots`
+//! table built in `EngineModel::new` gives each upstream connection of a
+//! task a slot (one per source upstream, one per operator-upstream
+//! replica), and each instance's `AlignmentState` keeps one bitset per
+//! kind over its task's slots.
 //!
 //! **Hashing policy.** Maps that remain maps (acker ledgers, the root
 //! replay cache, store blob maps) use the in-tree [`FxHasher`] — see
